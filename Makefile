@@ -25,6 +25,12 @@ INVOKE_ALLOC_BASELINE ?= 16
 # off. vet-repl fails if the unreplicated path ever regresses past this.
 REPL_ALLOC_BASELINE ?= 5
 
+# Replicated-write ceiling: one non-idempotent 4 KiB write to a degree-3
+# group over loopback TCP, client call plus the state shipment to both
+# backups. Measured: 42 allocs/op (each shipment is encoded once into a
+# pooled buffer shared by every backup call); vet-repl fails past this.
+REPL_WRITE_ALLOC_BASELINE ?= 50
+
 # Policy-plane invoke ceiling: attaching a (default) DistributionPolicy to a
 # binding must not add allocations to the idempotent invoke path — the
 # routing decision is a nil check plus one value comparison. Expected 3;
@@ -82,10 +88,11 @@ vet-wire:
 # Replication-off gate (mirrors vet-obs): the degree-1 invoke path must stay
 # at the seed alloc baseline, because unreplicated deployments never touch
 # internal/replica. The degree-3 read path is benchmarked alongside for the
-# delta but not gated — its budget is E13's business.
+# delta but not gated — its budget is E13's business. The degree-3 4 KiB
+# write is gated so the copy-free shipment path cannot silently erode.
 vet-repl:
 	$(GO) vet ./internal/replica/ ./internal/naming/
-	@out=$$($(GO) test -run xxx -bench 'BenchmarkInvokeUnreplicated' -benchmem -benchtime=10000x . | tee /dev/stderr); \
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkInvokeUnreplicated|BenchmarkInvokeReplicatedWrite/degree3/^4KiB$$' -benchmem -benchtime=10000x . | tee /dev/stderr); \
 	gate() { \
 		allocs=$$(echo "$$out" | awk -v pat="$$1" '$$0 ~ pat {for (i=1; i<=NF; i++) if ($$(i+1) == "allocs/op") print $$i; exit}'); \
 		if [ -z "$$allocs" ]; then echo "vet-repl: could not parse allocs/op for $$1"; exit 1; fi; \
@@ -94,7 +101,8 @@ vet-repl:
 		fi; \
 		echo "vet-repl: $$1 at $$allocs allocs/op (budget $$2)"; \
 	}; \
-	gate 'BenchmarkInvokeUnreplicated' $(REPL_ALLOC_BASELINE)
+	gate 'BenchmarkInvokeUnreplicated' $(REPL_ALLOC_BASELINE) && \
+	gate 'BenchmarkInvokeReplicatedWrite/degree3/4KiB' $(REPL_WRITE_ALLOC_BASELINE)
 
 # Distribution-policy gate (mirrors vet-repl): a binding carrying the
 # default policy document must invoke at the unreplicated alloc budget —

@@ -27,7 +27,8 @@ type FleetReport struct {
 	Pass uint64
 	// Evolved lists instances successfully brought to Target.
 	Evolved []naming.LOID
-	// Skipped lists instances quarantined during (or before) the pass.
+	// Skipped lists instances quarantined during (or before) the pass, and
+	// instances dropped after the pass was planned.
 	Skipped []naming.LOID
 	// Failed lists instances whose evolution failed for non-connectivity
 	// reasons (style violation, descriptor errors, application failures).
@@ -130,6 +131,14 @@ func (m *Manager) evolveFleet(ctx context.Context, v version.ID, maxApplies int,
 			reason := fmt.Sprintf("unreachable during pass %d: %v", pass, evErr)
 			m.quarantine(loid, reason)
 			if jerr := j.Skipped(pass, loid, reason); jerr != nil {
+				errs = append(errs, fmt.Errorf("%s: %w", loid, jerr))
+			}
+			report.Skipped = append(report.Skipped, loid)
+		case errors.Is(evErr, ErrUnknownInstance):
+			// Dropped after the pass was planned: normal churn, not a
+			// failure. Recover already passes over a planned LOID that is
+			// no longer managed.
+			if jerr := j.Skipped(pass, loid, fmt.Sprintf("dropped during pass %d", pass)); jerr != nil {
 				errs = append(errs, fmt.Errorf("%s: %w", loid, jerr))
 			}
 			report.Skipped = append(report.Skipped, loid)

@@ -5,8 +5,10 @@
 package objstate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -91,20 +93,43 @@ func (s *State) Len() int {
 
 // Encode serialises the state deterministically (sorted keys).
 func (s *State) Encode() []byte {
+	image, _ := s.AppendEncode(nil, nil)
+	return image
+}
+
+// AppendEncode appends Encode's image to dst and returns the extended slice
+// with the generation the image captures, both read under one hold of the
+// state lock. The image is sized before it is written, so it lands in one
+// pass with no regrowth. grow, when non-nil, is called once under the lock
+// with dst and the image size n, and returns the slice to append to, which
+// must have room for n more bytes: the hook lets a caller put its own header
+// (say, a length prefix) in front of the image in a buffer it chose, and it
+// must not call back into the State. With a nil grow, dst is extended by at
+// most one allocation.
+func (s *State) AppendEncode(dst []byte, grow func(dst []byte, n int) []byte) ([]byte, uint64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	n := wire.UvarintLen(uint64(len(s.data)))
+	for k, v := range s.data {
 		keys = append(keys, k)
+		n += wire.UvarintLen(uint64(len(k))) + len(k) + wire.UvarintLen(uint64(len(v))) + len(v)
 	}
-	sort.Strings(keys)
-	e := wire.NewEncoder(64)
-	e.PutUvarint(uint64(len(keys)))
+	slices.Sort(keys)
+	if grow != nil {
+		dst = grow(dst, n)
+	} else {
+		dst = slices.Grow(dst, n)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		e.PutString(k)
-		e.PutBytes(s.data[k])
+		v := s.data[k]
+		dst = binary.AppendUvarint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
 	}
-	s.mu.Unlock()
-	return e.Bytes()
+	return dst, s.gen
 }
 
 // ErrCorrupt is returned when captured state cannot be decoded.

@@ -131,3 +131,61 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d, want 8", s.Len())
 	}
 }
+
+// wireEncode is the reference encoding built with wire.Encoder: a key count,
+// then each key and value length-prefixed, keys sorted.
+func wireEncode(s *State) []byte {
+	keys := s.Keys()
+	e := wire.NewEncoder(64)
+	e.PutUvarint(uint64(len(keys)))
+	for _, k := range keys {
+		v, _ := s.Get(k)
+		e.PutString(k)
+		e.PutBytes(v)
+	}
+	return e.Bytes()
+}
+
+// TestAppendEncodeProperty checks AppendEncode against Encode and the wire
+// reference encoding: appending to any prefix yields prefix ‖ image, grow is
+// called once with the exact image size and its buffer is filled in place,
+// and the returned generation is Generation() when no writer races.
+func TestAppendEncodeProperty(t *testing.T) {
+	f := func(keys []string, vals [][]byte, prefix []byte, spare uint8) bool {
+		s := New()
+		for i, k := range keys {
+			var v []byte
+			if i < len(vals) {
+				v = vals[i]
+			}
+			s.Set(k, v)
+		}
+		image := s.Encode()
+		if !bytes.Equal(image, wireEncode(s)) {
+			return false
+		}
+		dst := append(make([]byte, 0, len(prefix)+int(spare)), prefix...)
+		got, gen := s.AppendEncode(dst, nil)
+		if gen != s.Generation() || !bytes.Equal(got, append(bytes.Clone(prefix), image...)) {
+			return false
+		}
+
+		calls := 0
+		var grown []byte
+		got, gen = s.AppendEncode(prefix, func(dst []byte, n int) []byte {
+			calls++
+			if n != len(image) {
+				return nil
+			}
+			grown = append(make([]byte, 0, len(dst)+1+n), dst...)
+			grown = append(grown, '|')
+			return grown
+		})
+		want := append(append(bytes.Clone(prefix), '|'), image...)
+		return calls == 1 && gen == s.Generation() && bytes.Equal(got, want) &&
+			cap(got) == cap(grown) && &got[:1][0] == &grown[:1][0]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

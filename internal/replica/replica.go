@@ -13,6 +13,7 @@ package replica
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -205,32 +206,17 @@ func (r *Replica) shipIfChanged(ctx context.Context) error {
 	r.seq++
 	seq := r.seq
 	epoch := r.epoch
-	backups := append([]string(nil), r.backups...)
+	// Promote and demote replace r.backups wholesale and never write into
+	// it, so the slice itself is a stable snapshot.
+	backups := r.backups
 	r.mu.Unlock()
 
-	snapshot := r.inner.State().Encode()
-	e := wire.NewEncoder(len(snapshot) + 16)
-	e.PutUvarint(epoch)
-	e.PutUvarint(seq)
-	e.PutBytes(snapshot)
-	payload := e.Bytes()
-
-	var firstErr error
-	for _, endpoint := range backups {
-		_, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodApply, payload, r.shipTimeout())
-		if errors.Is(err, rpc.ErrFenced) {
-			r.demoteSelf()
-			return err
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("backup %s: %w", endpoint, err)
-		}
-	}
-	if firstErr != nil {
-		return firstErr
+	shipped, err := r.ship(ctx, epoch, seq, backups)
+	if err != nil {
+		return err
 	}
 	r.mu.Lock()
-	r.shipGen = gen
+	r.shipGen = shipped
 	r.mu.Unlock()
 	return nil
 }
@@ -255,20 +241,42 @@ func (r *Replica) syncTo(ctx context.Context, endpoint string) error {
 	epoch := r.epoch
 	r.mu.Unlock()
 
-	snapshot := r.inner.State().Encode()
-	e := wire.NewEncoder(len(snapshot) + 16)
-	e.PutUvarint(epoch)
-	e.PutUvarint(seq)
-	e.PutBytes(snapshot)
-	_, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodApply, e.Bytes(), r.shipTimeout())
-	if errors.Is(err, rpc.ErrFenced) {
-		r.demoteSelf()
-		return err
+	_, err := r.ship(ctx, epoch, seq, []string{endpoint})
+	if err != nil && !errors.Is(err, rpc.ErrFenced) {
+		return fmt.Errorf("sync %s: %w", r.loid, err)
 	}
-	if err != nil {
-		return fmt.Errorf("sync %s to %s: %w", r.loid, endpoint, err)
+	return err
+}
+
+// ship encodes one MethodApply payload — epoch, seq, and the length-prefixed
+// state image — straight into a pooled buffer and sends that same buffer to
+// each endpoint in turn. It returns the state generation the image captures.
+// The buffer goes back to the pool once the last call has returned, on every
+// path; Dialer.Call must not retain a request payload past its return. A
+// fenced endpoint demotes the replica and stops the round; any other failure
+// is reported after every endpoint has been tried. Callers hold shipMu.
+func (r *Replica) ship(ctx context.Context, epoch, seq uint64, endpoints []string) (uint64, error) {
+	payload, gen := r.inner.State().AppendEncode(nil, func(_ []byte, n int) []byte {
+		head := wire.UvarintLen(epoch) + wire.UvarintLen(seq) + wire.UvarintLen(uint64(n))
+		buf := wire.GetBuf(head + n)[:0]
+		buf = binary.AppendUvarint(buf, epoch)
+		buf = binary.AppendUvarint(buf, seq)
+		return binary.AppendUvarint(buf, uint64(n))
+	})
+	defer wire.PutBuf(payload)
+
+	var firstErr error
+	for _, endpoint := range endpoints {
+		_, err := rpc.DirectCall(ctx, r.dialer, endpoint, r.loid, MethodApply, payload, r.shipTimeout())
+		if errors.Is(err, rpc.ErrFenced) {
+			r.demoteSelf()
+			return gen, err
+		}
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("backup %s: %w", endpoint, err)
+		}
 	}
-	return nil
+	return gen, firstErr
 }
 
 // demoteSelf demotes a fenced ex-primary in place.

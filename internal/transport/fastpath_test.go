@@ -1,11 +1,12 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,7 +196,12 @@ func TestTCPCoalescingCountsBatches(t *testing.T) {
 	if ds.BatchFlushes == 0 || ds.BatchFlushes > ds.BatchedFrames {
 		t.Fatalf("dialer BatchFlushes = %d out of range (frames %d)", ds.BatchFlushes, ds.BatchedFrames)
 	}
+	// The server counts a batch once its write returns, which can be after
+	// the client has already read the responses: wait for the count to land.
 	ss := srv.Stats()
+	for deadline := time.Now().Add(2 * time.Second); ss.BatchedFrames < calls && time.Now().Before(deadline); ss = srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if ss.BatchedFrames != calls {
 		t.Fatalf("server BatchedFrames = %d, want %d", ss.BatchedFrames, calls)
 	}
@@ -308,44 +314,60 @@ func TestTCPNilHandlerResponseFastPath(t *testing.T) {
 	}
 }
 
-// gatedSink is an io.Writer whose Write blocks until released, then either
-// succeeds or fails — the scaffolding for deterministic batch tests.
+// gatedSink is an io.Writer that blocks the first Write of every batch until
+// released, then either fails it or accepts the batch — the scaffolding for
+// deterministic batch tests. A plain io.Writer has no vectored write, so the
+// frame writer's one net.Buffers write per batch reaches it as one Write per
+// header and per frame; the sink groups those Writes into batches by the
+// writer's flush counter, which advances only after a batch's write returns.
+// Only the combiner (holding the writer's lock) calls Write.
 type gatedSink struct {
-	entered chan struct{} // signalled when a Write starts blocking
+	flushes *atomic.Uint64
+	entered chan struct{} // signalled when a batch's first Write starts blocking
 	release chan error    // what the blocked Write returns
-	wrote   [][]byte
+	batches [][]byte      // the bytes of each accepted batch, in order
+	batch   uint64        // flush count when the current batch started
 }
 
-func newGatedSink() *gatedSink {
-	return &gatedSink{entered: make(chan struct{}, 8), release: make(chan error, 8)}
+func newGatedSink(flushes *atomic.Uint64) *gatedSink {
+	return &gatedSink{flushes: flushes, entered: make(chan struct{}, 8), release: make(chan error, 8)}
 }
 
 func (g *gatedSink) Write(p []byte) (int, error) {
-	g.entered <- struct{}{}
-	if err := <-g.release; err != nil {
-		return 0, err
+	if n := g.flushes.Load(); len(g.batches) == 0 || n != g.batch {
+		g.entered <- struct{}{}
+		if err := <-g.release; err != nil {
+			return 0, err
+		}
+		g.batch = n
+		g.batches = append(g.batches, nil)
 	}
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	g.wrote = append(g.wrote, cp)
+	last := &g.batches[len(g.batches)-1]
+	*last = append(*last, p...)
 	return len(p), nil
 }
 
+// framed returns payload as it appears on the wire: header, then payload.
+func framed(payload []byte) []byte {
+	return append(wire.AppendFrameHeader(nil, len(payload)), payload...)
+}
+
 // TestFrameWriterCoalescesWhileBlocked pins the batching mechanism: frames
-// that arrive while a flush is in flight go out together in the next flush.
+// that arrive while a batch write is in flight go out together in the next
+// batch write.
 func TestFrameWriterCoalescesWhileBlocked(t *testing.T) {
-	sink := newGatedSink()
 	var flushes, frames atomic.Uint64
-	w := newFrameWriter(bufio.NewWriter(sink), 16, &flushes, &frames, nil, nil)
+	sink := newGatedSink(&flushes)
+	w := newFrameWriter(sink, 16, &flushes, &frames, nil, nil)
 
 	enc := func(s string) []byte { b := wire.GetBuf(len(s)); copy(b, s); return b }
 	// The first enqueuer becomes the combiner and blocks inside the gated
-	// flush, so it runs on its own goroutine.
+	// write, so it runs on its own goroutine.
 	first := make(chan error, 1)
 	go func() { first <- w.Enqueue(outFrame{buf: enc("first")}) }()
-	<-sink.entered // flush of batch 1 is now blocked in the sink
-	// These lose the combine lock to the blocked flusher and return at once;
-	// its post-flush recheck picks both up as one batch.
+	<-sink.entered // the write of batch 1 is now blocked in the sink
+	// These lose the combine lock to the blocked writer and return at once;
+	// its post-write recheck picks both up as one batch.
 	if err := w.Enqueue(outFrame{buf: enc("second")}); err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +388,14 @@ func TestFrameWriterCoalescesWhileBlocked(t *testing.T) {
 	if got := frames.Load(); got != 3 {
 		t.Fatalf("frames = %d, want 3", got)
 	}
-	if len(sink.wrote) != 2 {
-		t.Fatalf("sink saw %d writes, want 2", len(sink.wrote))
+	if len(sink.batches) != 2 {
+		t.Fatalf("sink saw %d batches, want 2", len(sink.batches))
 	}
-	if !bytes.Contains(sink.wrote[1], []byte("second")) || !bytes.Contains(sink.wrote[1], []byte("third")) {
-		t.Fatalf("second flush missing coalesced frames: %q", sink.wrote[1])
+	if want := framed([]byte("first")); !bytes.Equal(sink.batches[0], want) {
+		t.Fatalf("first batch = %q, want %q", sink.batches[0], want)
+	}
+	if want := append(framed([]byte("second")), framed([]byte("third"))...); !bytes.Equal(sink.batches[1], want) {
+		t.Fatalf("second batch = %q, want the coalesced frames %q", sink.batches[1], want)
 	}
 }
 
@@ -379,12 +404,12 @@ func TestFrameWriterCoalescesWhileBlocked(t *testing.T) {
 // can retry safely), while the frame being written is left to the ambiguous
 // connection-death path.
 func TestFrameWriterFailsQueuedFramesSafe(t *testing.T) {
-	sink := newGatedSink()
 	var flushes, frames atomic.Uint64
+	sink := newGatedSink(&flushes)
 	var mu sync.Mutex
 	var failed []uint64
 	var diedErr error
-	w := newFrameWriter(bufio.NewWriter(sink), 16, &flushes, &frames,
+	w := newFrameWriter(sink, 16, &flushes, &frames,
 		func(err error) {
 			mu.Lock()
 			diedErr = err
@@ -399,14 +424,14 @@ func TestFrameWriterFailsQueuedFramesSafe(t *testing.T) {
 	enc := func(s string) []byte { b := wire.GetBuf(len(s)); copy(b, s); return b }
 	first := make(chan error, 1)
 	go func() { first <- w.Enqueue(outFrame{buf: enc("doomed"), id: 1}) }()
-	<-sink.entered // frame 1's flush is in flight, its enqueuer combining
+	<-sink.entered // frame 1's write is in flight, its enqueuer combining
 	if err := w.Enqueue(outFrame{buf: enc("queued-a"), id: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Enqueue(outFrame{buf: enc("queued-b"), id: 3}); err != nil {
 		t.Fatal(err)
 	}
-	sink.release <- errors.New("wire cut") // frame 1's flush fails
+	sink.release <- errors.New("wire cut") // frame 1's write fails
 	if err := <-first; err != nil {
 		// Frame 1 entered the queue before the death, so its Enqueue reports
 		// success; the failure reaches its caller through the ambiguous
@@ -423,9 +448,126 @@ func TestFrameWriterFailsQueuedFramesSafe(t *testing.T) {
 	if len(failed) != 2 || failed[0] != 2 || failed[1] != 3 {
 		t.Fatalf("never-written ids = %v, want [2 3] (frame 1 is ambiguous, not safe)", failed)
 	}
+	if got := flushes.Load(); got != 0 {
+		t.Fatalf("flushes = %d, want 0 (the only batch write failed)", got)
+	}
 	if err := w.Enqueue(outFrame{buf: enc("late"), id: 4}); !errors.Is(err, errWriterClosed) {
 		t.Fatalf("enqueue after death = %v, want errWriterClosed", err)
 	}
+}
+
+// TestFrameWriterRejectsOversizeFrame pins ErrFrameTooLarge on the gathered
+// write path: a frame over wire.MaxFrameSize kills the writer with that
+// error before anything of its batch is written, and frames queued behind it
+// fail safe.
+func TestFrameWriterRejectsOversizeFrame(t *testing.T) {
+	var flushes, frames atomic.Uint64
+	sink := newGatedSink(&flushes)
+	var diedErr error
+	var failed []uint64
+	w := newFrameWriter(sink, 16, &flushes, &frames,
+		func(err error) { diedErr = err },
+		func(id uint64, err error) { failed = append(failed, id) })
+	w.ch <- outFrame{buf: []byte("small"), id: 1}
+	w.ch <- outFrame{buf: make([]byte, wire.MaxFrameSize+1), id: 2}
+	w.ch <- outFrame{buf: []byte("after"), id: 3}
+	w.pump()
+	if !errors.Is(diedErr, wire.ErrFrameTooLarge) {
+		t.Fatalf("onDead error = %v, want ErrFrameTooLarge", diedErr)
+	}
+	if len(sink.batches) != 0 || flushes.Load() != 0 {
+		t.Fatalf("oversize batch reached the sink: %d batches, %d flushes", len(sink.batches), flushes.Load())
+	}
+	if len(failed) != 1 || failed[0] != 3 {
+		t.Fatalf("never-written ids = %v, want [3]", failed)
+	}
+}
+
+// vecConn is a loopback TCP connection that counts plain Writes. Embedding
+// *net.TCPConn keeps its vectored-write path visible to net.Buffers, so a
+// batch that leaves as one writev never reaches the counting Write.
+type vecConn struct {
+	*net.TCPConn
+	writes atomic.Int64
+}
+
+func (c *vecConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.TCPConn.Write(p)
+}
+
+// TestFrameWriterVectoredTCP sends a frame larger than a 4 KiB write buffer,
+// then a 3-frame batch, over loopback TCP: both must reach the peer
+// byte-exact, each batch as one vectored write.
+func TestFrameWriterVectoredTCP(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	peer, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	defer peer.Close()
+
+	conn := &vecConn{TCPConn: raw.(*net.TCPConn)}
+	var flushes, frames atomic.Uint64
+	w := newFrameWriter(conn, 16, &flushes, &frames, nil, nil)
+	pooled := func(size int, fill byte) ([]byte, []byte) {
+		b := wire.GetBuf(size)
+		for i := range b {
+			b[i] = fill + byte(i*7)
+		}
+		return b, framed(b)
+	}
+
+	var want []byte
+	big, bigWire := pooled(4142, 1)
+	want = append(want, bigWire...)
+	if err := w.Enqueue(outFrame{buf: big}); err != nil {
+		t.Fatal(err)
+	}
+	if flushes.Load() != 1 || frames.Load() != 1 {
+		t.Fatalf("after the 4142-byte frame: flushes = %d frames = %d, want 1 and 1", flushes.Load(), frames.Load())
+	}
+	// Queue three frames before pumping so one combine gathers all of them.
+	for i, size := range []int{1, 4142, 70000} {
+		b, onWire := pooled(size, byte(10*i))
+		want = append(want, onWire...)
+		w.ch <- outFrame{buf: b}
+	}
+	w.pump()
+	if flushes.Load() != 2 || frames.Load() != 4 {
+		t.Fatalf("after the 3-frame batch: flushes = %d frames = %d, want 2 and 4", flushes.Load(), frames.Load())
+	}
+	if n := conn.writes.Load(); n != 0 {
+		t.Fatalf("%d plain Writes reached the conn, want 0 (each batch is one vectored write)", n)
+	}
+
+	got := make([]byte, len(want))
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(peer, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("peer received bytes that differ from the frames written")
+	}
+	w.Stop()
 }
 
 // TestTCPStripePickSkipsDeadConn pins the stripe-selection fix: a stripe

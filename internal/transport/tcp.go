@@ -18,8 +18,9 @@ import (
 // side of the wire. DecodeErrors count connections dropped because a frame
 // failed to decode (stream desynchronisation); DroppedFrames count responses
 // deliberately withheld (the Dropped fault-injection sentinel).
-// BatchFlushes/BatchedFrames expose the response coalescer: frames÷flushes
-// is the realised write batch size.
+// BatchFlushes/BatchedFrames expose the response coalescer: BatchFlushes
+// counts batch writes (one vectored write each), and frames÷flushes is the
+// realised write batch size.
 type ServerStats struct {
 	AcceptedConns uint64
 	ActiveConns   int64
@@ -52,8 +53,8 @@ type TCPServerOptions struct {
 // TCPServer serves envelopes over TCP. Each connection is read by one
 // goroutine; requests are dispatched concurrently so a slow handler does not
 // head-of-line block pipelined callers. Responses from all handlers on a
-// connection funnel through one coalescing writer, which flushes once per
-// batch rather than once per response.
+// connection funnel through one coalescing writer, which issues one
+// vectored write per batch rather than one write per response.
 type TCPServer struct {
 	handler  Handler
 	listener net.Listener
@@ -181,13 +182,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		return
 	}
 
-	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
-	wr := newFrameWriter(bw, s.opts.WriteQueue, &s.flushes, &s.frames, nil, nil)
+	wr := newFrameWriter(conn, s.opts.WriteQueue, &s.flushes, &s.frames, nil, nil)
 	var handlers sync.WaitGroup
 	// Shutdown order matters for both accounting and delivery: every handler
 	// must have finished (so DroppedFrames and its response enqueue are
-	// final) before the writer stops, and the writer drains and flushes what
+	// final) before the writer stops, and the writer drains and writes what
 	// it holds before the connection-cleanup defer above closes the socket.
 	defer wr.Stop()
 	defer handlers.Wait()
@@ -342,7 +342,7 @@ type DialerStats struct {
 // chosen round-robin per call, so a single TCP stream's head-of-line
 // blocking and per-connection throughput ceiling stop being the bottleneck
 // at high caller concurrency. Outbound frames on each connection are
-// coalesced by a dedicated writer that flushes once per batch.
+// coalesced by a writer that issues one vectored write per batch.
 type TCPDialer struct {
 	// DialTimeout bounds connection establishment. Zero means 5 s.
 	DialTimeout time.Duration
@@ -507,8 +507,8 @@ func putTimer(t *time.Timer) {
 
 type tcpClientConn struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	wr   *frameWriter // coalescing writer; nil when DisableFastPath
+	bw   *bufio.Writer // legacy-mode writer; nil on the fast path
+	wr   *frameWriter  // coalescing writer; nil when DisableFastPath
 
 	mu             sync.Mutex // guards bw (legacy mode), pending, orphans, counters
 	pending        map[uint64]chan callOutcome
@@ -871,9 +871,33 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 	}
 	cc := &tcpClientConn{
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan callOutcome),
 		orphans: make(map[uint64]struct{}),
+	}
+	// Pick the write path before the conn is published in its stripe slot:
+	// a concurrent caller handed the conn decides fast versus legacy by
+	// cc.wr, so it must never see the fast-path conn without its writer.
+	if d.DisableFastPath {
+		cc.bw = bufio.NewWriter(conn)
+	} else {
+		cc.wr = newFrameWriter(cc.conn, d.WriteQueue, &d.flushes, &d.frames,
+			func(err error) {
+				// First write error: mark the conn dead and drop it. Closing
+				// the socket makes the read loop fail every call that may
+				// already be on the wire as ambiguous; frames still queued
+				// behind the error are failed safe via onNeverWritten.
+				cc.mu.Lock()
+				if cc.dead == nil {
+					cc.dead = fmt.Errorf("%w during write: %v", ErrReset, err)
+				}
+				cc.deadFlag.Store(true)
+				cc.mu.Unlock()
+				d.dropConn(endpoint, cc)
+			},
+			func(id uint64, err error) {
+				// This frame provably never reached the wire: safe to retry.
+				cc.resolve(id, callOutcome{err: safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))})
+			})
 	}
 
 	d.mu.Lock()
@@ -901,26 +925,6 @@ func (d *TCPDialer) getConn(endpoint, addr string) (*tcpClientConn, error) {
 	cur.stripes[idx] = cc
 	d.mu.Unlock()
 
-	if !d.DisableFastPath {
-		cc.wr = newFrameWriter(cc.bw, d.WriteQueue, &d.flushes, &d.frames,
-			func(err error) {
-				// First write error: mark the conn dead and drop it. Closing
-				// the socket makes the read loop fail every call that may
-				// already be on the wire as ambiguous; frames still queued
-				// behind the error are failed safe via onNeverWritten.
-				cc.mu.Lock()
-				if cc.dead == nil {
-					cc.dead = fmt.Errorf("%w during write: %v", ErrReset, err)
-				}
-				cc.deadFlag.Store(true)
-				cc.mu.Unlock()
-				d.dropConn(endpoint, cc)
-			},
-			func(id uint64, err error) {
-				// This frame provably never reached the wire: safe to retry.
-				cc.resolve(id, callOutcome{err: safeErr(fmt.Errorf("%w during write: %v", ErrReset, err))})
-			})
-	}
 	go d.readLoop(endpoint, cc)
 	return cc, nil
 }

@@ -1,8 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,30 +39,49 @@ type outFrame struct {
 // frameWriter coalesces outbound frames onto one connection without a
 // dedicated goroutine. Enqueue places the frame on a bounded queue and then
 // tries to become the combiner: the one goroutine holding mu, which drains
-// the queue, writes every frame it finds, and flushes once per drain. A
-// goroutine that loses the TryLock returns immediately — the active
+// the queue and writes every frame it finds with one vectored write per
+// drain. A goroutine that loses the TryLock returns immediately — the active
 // combiner's post-unlock recheck guarantees its frame is written, by that
 // combiner or a successor.
 //
 // The shape matters on small machines. A lone caller combines a batch of
-// one, which is byte-for-byte the legacy synchronous write+flush — no
-// goroutine handoff, no added latency. Under pipelining, whichever caller
-// holds the lock writes everyone's frames and the flush syscall is amortised
-// over the whole batch; the peers' read loops then receive many frames per
-// read syscall for free. A dedicated writer goroutine gets neither property:
-// it adds a scheduler wakeup per frame, and on a loaded single-core box it
-// drains one frame at a time, flushing batches of one.
+// one: a single write of header and frame, with no goroutine handoff and no
+// added latency. Under pipelining, whichever caller holds the lock writes
+// everyone's frames and the write syscall is amortised over the whole
+// batch; the peers' read loops then receive many frames per read syscall
+// for free. A dedicated writer goroutine gets neither property: it adds a
+// scheduler wakeup per frame, and on a loaded single-core box it drains one
+// frame at a time, writing batches of one.
 //
-// Failure semantics: the first write or flush error kills the writer. Frames
-// already handed to the buffered writer by then may have partially reached
-// the kernel — their fate is ambiguous, and resolving them is left to the
-// connection's death path (the read loop fails all still-pending calls).
-// Frames still queued at death provably never reached the wire; each is
-// reported through onNeverWritten so its caller can be failed safe-to-retry.
+// Each batch leaves as one net.Buffers write of [header, frame] pairs: one
+// writev on a TCP connection, whatever the frame sizes, with no copy into an
+// intermediate buffer. (An io.Writer without vectored writes gets one Write
+// per header and per frame.) The gather scratch lives in the writer and is
+// reused, so a steady-state batch allocates nothing.
+//
+// Failure semantics: the first write error kills the writer. Frames in the
+// batch being written may have partially reached the kernel — their fate is
+// ambiguous, and resolving them is left to the connection's death path (the
+// read loop fails all still-pending calls). A frame over wire.MaxFrameSize
+// kills the writer with wire.ErrFrameTooLarge before its batch is written;
+// that batch is discarded on the same ambiguous terms. Frames still queued
+// at death provably never reached the wire; each is reported through
+// onNeverWritten so its caller can be failed safe-to-retry.
 type frameWriter struct {
-	bw *bufio.Writer
-	ch chan outFrame
-	mu sync.Mutex // held by the active combiner; guards bw
+	conn io.Writer
+	ch   chan outFrame
+	mu   sync.Mutex // held by the active combiner; guards conn and the scratch below
+
+	// Gather scratch for one batch, reused across drains: hdrs holds every
+	// gathered frame's header, vec the [header, frame] iovec pairs, and bufs
+	// the pooled frames to release once the batch is written (kept apart from
+	// vec because a partial write re-slices vec's entries in place). iov is
+	// the view WriteTo consumes; it is a field so the write does not move a
+	// local slice header to the heap on every batch.
+	hdrs []byte
+	vec  net.Buffers
+	bufs [][]byte
+	iov  net.Buffers
 
 	stop     chan struct{} // closed by Stop: reject new frames, drain the rest
 	stopOnce sync.Once
@@ -81,15 +101,15 @@ type frameWriter struct {
 	frames  *atomic.Uint64
 }
 
-// newFrameWriter builds a writer over bw with the given queue depth
+// newFrameWriter builds a writer over conn with the given queue depth
 // (defaultWriteQueue when <= 0).
-func newFrameWriter(bw *bufio.Writer, queue int, flushes, frames *atomic.Uint64,
+func newFrameWriter(conn io.Writer, queue int, flushes, frames *atomic.Uint64,
 	onDead func(error), onNeverWritten func(uint64, error)) *frameWriter {
 	if queue <= 0 {
 		queue = defaultWriteQueue
 	}
 	return &frameWriter{
-		bw:             bw,
+		conn:           conn,
 		ch:             make(chan outFrame, queue),
 		stop:           make(chan struct{}),
 		dead:           make(chan struct{}),
@@ -146,21 +166,20 @@ func (w *frameWriter) pump() {
 	}
 }
 
-// combine drains the queue and flushes once. Must hold w.mu. After death it
-// keeps draining, discarding each frame as never-written, so blocked
-// enqueuers unstick and their calls fail safe instead of timing out.
+// combine drains the queue and writes it as one batch. Must hold w.mu.
+// After death it keeps draining, discarding each frame as never-written, so
+// blocked enqueuers unstick and their calls fail safe instead of timing out.
 //
-// Before the flush, the combiner yields the processor once. This is what
+// Before the write, the combiner yields the processor once. This is what
 // makes batches form when goroutines outnumber cores: runnable peers — a
 // pipelined caller just woken by its previous response, a handler goroutine
 // about to enqueue its reply — get to run up to their own enqueue, lose the
 // TryLock to us, and land in the queue we are about to drain. Without the
 // yield, a combiner on a saturated single-core box always finishes its
-// write+flush before any peer runs, and every "batch" is one frame. With no
-// other runnable goroutine the yield is a few nanoseconds, so a lone
-// low-latency caller pays nothing.
+// write before any peer runs, and every "batch" is one frame. With no other
+// runnable goroutine the yield is a few nanoseconds, so a lone low-latency
+// caller pays nothing.
 func (w *frameWriter) combine() {
-	wrote := 0
 	yields := 0
 	for {
 		select {
@@ -169,38 +188,68 @@ func (w *frameWriter) combine() {
 				w.neverWritten(f)
 				continue
 			}
-			err := wire.WriteFrame(w.bw, f.buf)
-			wire.PutBuf(f.buf)
-			if err != nil {
-				w.died(err)
+			if len(f.buf) > wire.MaxFrameSize {
+				wire.PutBuf(f.buf)
+				w.died(wire.ErrFrameTooLarge)
 				continue
 			}
-			wrote++
+			w.gather(f.buf)
 		default:
-			if wrote > 0 && yields < combineYieldBudget && !w.isDead() {
+			if len(w.bufs) > 0 && yields < combineYieldBudget && !w.isDead() {
 				yields++
 				runtime.Gosched()
 				if len(w.ch) > 0 {
 					continue // the yield produced frames: grow the batch
 				}
-				// Nothing arrived; stop waiting and flush what we have.
+				// Nothing arrived; stop waiting and write what we have.
 			}
-			if wrote > 0 && !w.isDead() {
-				if err := w.bw.Flush(); err != nil {
-					w.died(err)
-					return
-				}
-				if w.flushes != nil {
-					w.flushes.Add(1)
-					w.frames.Add(uint64(wrote))
-				}
+			if len(w.bufs) > 0 && !w.isDead() {
+				w.writeBatch()
 			}
+			w.release()
 			return
 		}
 	}
 }
 
-// Stop rejects further frames, then drains and flushes whatever is queued
+// gather appends one frame and its header to the pending batch.
+func (w *frameWriter) gather(buf []byte) {
+	// hdrs may move when it grows; headers already gathered keep pointing
+	// into the old array, which still holds them, so the batch stays intact.
+	off := len(w.hdrs)
+	w.hdrs = wire.AppendFrameHeader(w.hdrs, len(buf))
+	w.vec = append(w.vec, w.hdrs[off:len(w.hdrs):len(w.hdrs)], buf)
+	w.bufs = append(w.bufs, buf)
+}
+
+// writeBatch writes the gathered batch in one vectored write and counts it.
+func (w *frameWriter) writeBatch() {
+	w.iov = w.vec
+	if _, err := w.iov.WriteTo(w.conn); err != nil {
+		w.died(err)
+		return
+	}
+	if w.flushes != nil {
+		w.flushes.Add(1)
+		w.frames.Add(uint64(len(w.bufs)))
+	}
+}
+
+// release returns the batch's frames to the pool, written or not, and resets
+// the scratch for the next drain.
+func (w *frameWriter) release() {
+	for _, buf := range w.bufs {
+		wire.PutBuf(buf)
+	}
+	clear(w.bufs)
+	clear(w.vec)
+	w.bufs = w.bufs[:0]
+	w.vec = w.vec[:0]
+	w.hdrs = w.hdrs[:0]
+	w.iov = nil
+}
+
+// Stop rejects further frames, then drains and writes whatever is queued
 // (discarding it if the writer is dead). Idempotent and safe from multiple
 // goroutines. Callers must first guarantee no Enqueue can race the stop (the
 // transport stops the writer only after every handler/caller that might

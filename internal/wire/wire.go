@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // Protocol limits. Frames larger than MaxFrameSize are rejected to protect
@@ -60,6 +61,12 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 // PutUvarint appends an unsigned varint.
 func (e *Encoder) PutUvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
+}
+
+// UvarintLen returns the number of bytes PutUvarint appends for v, so
+// callers can size a buffer exactly before encoding into it.
+func UvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // PutVarint appends a zig-zag encoded signed varint.
@@ -239,6 +246,15 @@ func (d *Decoder) UintSlice() ([]uint64, error) {
 	return out, nil
 }
 
+// AppendFrameHeader appends the 5-byte header of an n-byte frame to dst: the
+// magic byte and a 4-byte big-endian payload length. Callers that gather
+// frames for one vectored write use it in place of WriteFrame and must
+// enforce MaxFrameSize themselves.
+func AppendFrameHeader(dst []byte, n int) []byte {
+	dst = append(dst, MagicByte)
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
 // WriteFrame writes a magic byte, a 4-byte big-endian length, and the
 // payload to w.
 func WriteFrame(w io.Writer, payload []byte) error {
@@ -246,9 +262,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return ErrFrameTooLarge
 	}
 	var hdr [5]byte
-	hdr[0] = MagicByte
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(AppendFrameHeader(hdr[:0], len(payload))); err != nil {
 		return fmt.Errorf("write frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
